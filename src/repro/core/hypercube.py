@@ -153,9 +153,17 @@ class HyperCubePlan(RoutingPlan):
         return fold_offset_counts(Counter(bases), offsets)
 
     def _grid_bases(
-        self, relation_name: str, tuples: Sequence[Tuple]
+        self,
+        relation_name: str,
+        tuples: Sequence[Tuple],
+        columns: Sequence[int] | None = None,
     ) -> list[int] | None:
         """Columnar fixed-dimension resolution: one grid base per tuple.
+
+        ``columns[i]`` is the column of ``tuples`` holding the atom's
+        position ``i``; by default the tuples are the atom's own.  A plan
+        over a residual query reads its positions straight out of the
+        original, wider tuples this way, without projecting them.
 
         Returns None for an atom with no fixed dimensions (every tuple sits
         at base 0 and replicates across all offsets).
@@ -165,6 +173,8 @@ class HyperCubePlan(RoutingPlan):
             return None
         bases: list[int] | None = None
         for var, position, stride in fixed:
+            if columns is not None:
+                position = columns[position]
             column = [tup[position] for tup in tuples]
             table = self.hashes.bucket_table(
                 f"{self.salt_prefix}:{var}", column, self.shares[var]

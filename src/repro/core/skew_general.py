@@ -34,10 +34,12 @@ overweight chains always terminate.
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from itertools import repeat
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..lp.fraction_utils import log_base_fraction
 from ..lp.simplex import LPError, maximize
@@ -226,6 +228,9 @@ class _CombinationPlan:
     heavy_positions: Mapping[str, tuple[int, ...]]
     # Overweight filter: per atom, (projection positions, subset, threshold).
     filters: Mapping[str, tuple[tuple[tuple[int, ...], VarSubset, float], ...]]
+    # The same filter resolved for the batch path: per atom, (projection
+    # positions, heavy keys above the threshold), empty key sets dropped.
+    overweight: Mapping[str, tuple[tuple[tuple[int, ...], frozenset[Tuple]], ...]]
     stats: StatisticsProvider
     p: int
 
@@ -265,6 +270,16 @@ class _CombinationPlan:
         return out
 
 
+@dataclass(frozen=True)
+class _Route:
+    """How one routing class passes through one bin combination."""
+
+    inner: HyperCubePlan
+    columns: tuple[int, ...]  # original-tuple column of each residual position
+    offsets: tuple[int, ...]  # the inner plan's replication offsets
+    blocks: tuple[tuple[int, int], ...]  # distinct (start, size) server blocks
+
+
 class BinHyperCubePlan(RoutingPlan):
     def __init__(
         self,
@@ -292,6 +307,8 @@ class BinHyperCubePlan(RoutingPlan):
                 combo_id, combo, members, lps[combo], bits, hashes
             )
             self.combo_plans.append(plan)
+        self._classifiers = self._build_classifiers()
+        self._routes_memo: dict[tuple[str, tuple], tuple[_Route, ...]] = {}
 
     def _build_combination_plan(
         self,
@@ -370,6 +387,22 @@ class BinHyperCubePlan(RoutingPlan):
                 rows.append((positions, superset, threshold))
             filters[atom.name] = tuple(rows)
 
+        overweight: dict[
+            str, tuple[tuple[tuple[int, ...], frozenset[Tuple]], ...]
+        ] = {}
+        for name, rows in filters.items():
+            resolved = []
+            for positions, subset, threshold in rows:
+                keys = frozenset(
+                    key
+                    for key, freq in self.stats.heavy_hitters(name, subset).items()
+                    if freq > threshold
+                )
+                if keys:
+                    resolved.append((positions, keys))
+            if resolved:
+                overweight[name] = tuple(resolved)
+
         return _CombinationPlan(
             combo=combo,
             lp=lp,
@@ -379,15 +412,180 @@ class BinHyperCubePlan(RoutingPlan):
             heavy_index=heavy_index,
             heavy_positions=heavy_positions,
             filters=filters,
+            overweight=overweight,
             stats=self.stats,
             p=self.p,
         )
+
+    def _build_classifiers(
+        self,
+    ) -> dict[str, tuple[tuple[tuple[int, ...], dict[object, Tuple]], ...]]:
+        """Per atom, the projections that decide a tuple's routing class.
+
+        Whether a combination routes a tuple, and through which assignment
+        slots, depends only on the tuple's projections onto the overweight
+        filters' and the heavy index's position tuples — and only on
+        whether each projection is one of the few keys those name.  So a
+        tuple's class is that projection vector with every other value
+        mapped to None.
+        """
+        classifiers = {}
+        for atom in self.query.atoms:
+            keys: dict[tuple[int, ...], set[Tuple]] = {}
+            for plan in self.combo_plans:
+                for positions, overweight in plan.overweight.get(atom.name, ()):
+                    keys.setdefault(positions, set()).update(overweight)
+                positions = plan.heavy_positions.get(atom.name)
+                if positions is not None:
+                    keys.setdefault(positions, set()).update(
+                        plan.heavy_index[atom.name]
+                    )
+            # ``itemgetter`` of one position yields the bare value, so the
+            # lookup is keyed the same way and maps back to the key tuple.
+            classifiers[atom.name] = tuple(
+                (
+                    positions,
+                    {
+                        (key[0] if len(positions) == 1 else key): key
+                        for key in relevant
+                    },
+                )
+                for positions, relevant in sorted(keys.items())
+            )
+        return classifiers
+
+    def _classify(
+        self, relation_name: str, tuples: Sequence[Tuple]
+    ) -> dict[tuple, list[int]]:
+        """Group tuple indices by routing class (see `_build_classifiers`)."""
+        classifiers = self._classifiers[relation_name]
+        if not classifiers:
+            return {(): list(range(len(tuples)))}
+        columns = []
+        for positions, lookup in classifiers:
+            get = lookup.get
+            columns.append([get(value) for value in map(
+                itemgetter(*positions), tuples
+            )])
+        groups: dict[tuple, list[int]] = {}
+        for index, key in enumerate(zip(*columns)):
+            groups.setdefault(key, []).append(index)
+        return groups
+
+    def _routes(self, relation_name: str, key: tuple) -> tuple[_Route, ...]:
+        """The combinations a class is routed through, decided once.
+
+        Mirrors :meth:`_CombinationPlan.destinations_for`'s overweight
+        filter and slot lookup on the class key instead of a tuple.
+        """
+        memo_key = (relation_name, key)
+        routes = self._routes_memo.get(memo_key)
+        if routes is not None:
+            return routes
+        projected = {
+            positions: value
+            for (positions, _lookup), value in zip(
+                self._classifiers[relation_name], key
+            )
+        }
+        found: list[_Route] = []
+        for plan in self.combo_plans:
+            # A None projection is light, so never in an overweight set.
+            if any(
+                projected[positions] in keys
+                for positions, keys in plan.overweight.get(relation_name, ())
+            ):
+                continue
+            positions = plan.heavy_positions.get(relation_name)
+            if positions is not None:
+                slots = plan.heavy_index[relation_name].get(
+                    projected[positions], ()
+                )
+            else:
+                slots = range(len(plan.assignments))
+            if not slots:
+                continue
+            found.append(_Route(
+                inner=plan.inner,
+                columns=plan.kept_positions[relation_name],
+                offsets=plan.inner._free_offsets[relation_name],
+                blocks=tuple(dict.fromkeys(plan._block(s) for s in slots)),
+            ))
+        routes = self._routes_memo[memo_key] = tuple(found)
+        return routes
+
+    def _routed_classes(
+        self, relation_name: str, tuples: Sequence[Tuple]
+    ) -> Iterator[
+        tuple[list[int], tuple[_Route, ...], Iterable[tuple[int, ...]]]
+    ]:
+        """Per routed class: its tuple indices, its routes, and per member
+        the inner grid base in every routed combination, resolved column
+        by column through :meth:`HyperCubePlan._grid_bases`."""
+        for key, indices in self._classify(relation_name, tuples).items():
+            routes = self._routes(relation_name, key)
+            if not routes:
+                continue
+            members = [tuples[i] for i in indices]
+            columns = []
+            for route in routes:
+                bases = route.inner._grid_bases(
+                    relation_name, members, route.columns
+                )
+                columns.append(
+                    repeat(0, len(members)) if bases is None else bases
+                )
+            yield indices, routes, zip(*columns)
+
+    @staticmethod
+    def _expand(
+        routes: tuple[_Route, ...], vector: tuple[int, ...]
+    ) -> tuple[int, ...]:
+        """The servers of one base vector, deduplicated across combinations."""
+        servers: set[int] = set()
+        for route, base in zip(routes, vector):
+            cells = [base + offset for offset in route.offsets]
+            for start, size in route.blocks:
+                servers.update(start + d for d in cells if d < size)
+        return tuple(servers)
 
     def destinations(self, relation_name: str, tup: Tuple) -> Iterable[int]:
         out: set[int] = set()
         for plan in self.combo_plans:
             out.update(plan.destinations_for(relation_name, tup))
         return out
+
+    def destinations_batch(
+        self, relation_name: str, tuples: Sequence[Tuple]
+    ) -> list[tuple[int, ...]]:
+        """Classify-then-route: each routing class is decided once, and
+        each distinct base vector within a class is expanded once."""
+        out: list[tuple[int, ...]] = [()] * len(tuples)
+        for indices, routes, vectors in self._routed_classes(
+            relation_name, tuples
+        ):
+            expanded: dict[tuple[int, ...], tuple[int, ...]] = {}
+            for index, vector in zip(indices, vectors):
+                servers = expanded.get(vector)
+                if servers is None:
+                    servers = expanded[vector] = self._expand(routes, vector)
+                out[index] = servers
+        return out
+
+    def destination_counts(
+        self, relation_name: str, tuples: Sequence[Tuple]
+    ) -> Mapping[int, int]:
+        """Count the distinct base vectors per class, then expand each once
+        — the bin-combination generalisation of
+        :func:`~repro.mpc.execution.fold_offset_counts`."""
+        counts: Counter[int] = Counter()
+        for _indices, routes, vectors in self._routed_classes(
+            relation_name, tuples
+        ):
+            for vector, count in Counter(vectors).items():
+                for server in self._expand(routes, vector):
+                    counts[server] += count
+        return counts
 
     def theoretical_load_bits(self) -> float:
         """``max_B p^(lambda(B))`` — the Theorem 4.6 target (sans polylog)."""

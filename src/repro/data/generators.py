@@ -22,6 +22,7 @@ Each generator is deterministic given its seed and produces a
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from ..seq.relation import Relation
@@ -95,7 +96,12 @@ def zipf_relation(
     for position in skewed:
         if not 0 <= position < arity:
             raise GeneratorError(f"skewed position {position} outside arity {arity}")
-    weights = [1.0 / (rank + 1) ** skew for rank in range(domain_size)]
+    population = range(domain_size)
+    # Accumulated once: passing ``weights`` would rebuild the prefix sums
+    # on every draw, making the generator O(cardinality * domain_size).
+    cum_weights = list(accumulate(
+        1.0 / (rank + 1) ** skew for rank in population
+    ))
     tuples: set[tuple[int, ...]] = set()
     attempts = 0
     max_attempts = 50 * cardinality + 1000
@@ -109,7 +115,9 @@ def zipf_relation(
         values = []
         for position in range(arity):
             if position in skewed:
-                values.append(rng.choices(range(domain_size), weights)[0])
+                values.append(
+                    rng.choices(population, cum_weights=cum_weights)[0]
+                )
             else:
                 values.append(rng.randrange(domain_size))
         tuples.add(tuple(values))

@@ -4,10 +4,11 @@ load-identical to the reference simulator.
 The matrix is algorithms (HC equal/LP shares, hash join, skew-aware join,
 bin-hypercube, broadcast, cartesian) x data generators (uniform,
 zipf-skewed, single-heavy-hitter) x seeds, with both ``compute_answers``
-modes.  Identity is exact: same answer sets, same per-server tuple counts,
-and bit-identical per-server bit loads (all engines fold bits as
-``count * tuple_bits`` per relation in atom order, so no float tolerance
-is needed).
+modes, plus bin-hypercube on the triangle with many bin combinations and
+with more assignments than servers.  Identity is exact: same answer sets,
+same per-server tuple counts, and bit-identical per-server bit loads (all
+engines fold bits as ``count * tuple_bits`` per relation in atom order, so
+no float tolerance is needed).
 """
 
 from __future__ import annotations
@@ -22,9 +23,15 @@ from repro.core import (
     HyperCubeAlgorithm,
     SkewAwareJoin,
 )
-from repro.data import single_value_relation, uniform_relation, zipf_relation
+from repro.data import (
+    planted_heavy_relation,
+    single_value_relation,
+    uniform_relation,
+    zipf_relation,
+)
 from repro.mpc import (
     BatchedEngine,
+    HashFamily,
     MultiprocessEngine,
     ReferenceEngine,
     run_one_round,
@@ -153,6 +160,63 @@ def test_load_only_parity(generator):
             _assert_identical(
                 result, oracle, f"{algorithm.name}/{generator}/{name}/loads"
             )
+
+
+TRIANGLE = "q(x,y,z) :- R(x,y), S(y,z), T(z,x)"
+
+
+def _triangle_db(generator: str, seed: int) -> Database:
+    if generator == "zipf":
+        return Database.from_relations(
+            zipf_relation(name, 150, 450, skew=1.6, skewed_positions=(0, 1),
+                          seed=seed * 100 + i)
+            for i, name in enumerate("RST")
+        )
+    # Three planted heavy values on x in R and T and on y in S: the bin
+    # combination binding {x, y} gets 3 x 3 = 9 assignments.
+    heavy = (0, 1, 2)
+    return Database.from_relations([
+        planted_heavy_relation("R", 120, 360, heavy, 0.9, heavy_position=0,
+                               seed=seed * 100 + 1),
+        planted_heavy_relation("S", 120, 360, heavy, 0.9, heavy_position=0,
+                               seed=seed * 100 + 2),
+        planted_heavy_relation("T", 120, 360, heavy, 0.9, heavy_position=1,
+                               seed=seed * 100 + 3),
+    ])
+
+
+@pytest.mark.parametrize("compute_answers", [True, False])
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize(
+    "generator, p, nbc",
+    [
+        ("zipf", 16, 0.25),  # many bin combinations
+        ("planted", 8, 0.5),  # more assignments than p: the slot % p blocks
+    ],
+)
+def test_bin_hypercube_triangle_parity(generator, p, nbc, seed,
+                                       compute_answers):
+    """Bin-hypercube's classify-then-route batch paths on the triangle."""
+    query = parse_query(TRIANGLE)
+    db = _triangle_db(generator, seed)
+    algorithm = BinHyperCubeAlgorithm(query, nbc=nbc)
+    plan = algorithm.routing_plan(db, p, HashFamily(seed))
+    if generator == "zipf":
+        assert len(plan.combo_plans) > 4
+    else:
+        assert max(len(c.assignments) for c in plan.combo_plans) > p
+    oracle = run_one_round(
+        algorithm, db, p, seed=seed, compute_answers=compute_answers,
+        engine="reference",
+    )
+    for name, engine in ENGINES.items():
+        result = run_one_round(
+            algorithm, db, p, seed=seed, compute_answers=compute_answers,
+            engine=engine,
+        )
+        _assert_identical(
+            result, oracle, f"bin-hypercube/{generator}/p={p}/{name}"
+        )
 
 
 def test_seed_sensitivity_is_engine_independent():

@@ -8,17 +8,19 @@ statistics, and databases rather than hand-picked examples:
   (Theorem 3.6), and tau* equals the fractional vertex-cover number;
 * HyperCube is complete for *any* share vector on *any* database;
 * Friedgut's inequality holds for random nonnegative weights;
-* the bin algorithm is complete on random skewed instances;
+* the bin algorithm is complete on random skewed instances, and its batch
+  routing paths match its scalar one;
 * simplex agrees with scipy.optimize.linprog on random LPs.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -37,9 +39,10 @@ from repro.core import (
     saturating_packing_vertices,
 )
 from repro.lp import maximize as exact_maximize
-from repro.mpc import run_one_round
+from repro.mpc import HashFamily, run_one_round
 from repro.query import Atom, ConjunctiveQuery, residual_query
 from repro.seq import Database, Relation
+from repro.stats import HeavyHitterStatistics
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +222,33 @@ def test_bin_hypercube_always_complete(data):
 
 
 @settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.data())
+def test_bin_hypercube_batch_paths_match_scalar(data):
+    """The classify-then-route batch paths reproduce scalar ``destinations``."""
+    q = data.draw(queries(max_variables=3, max_atoms=3, max_arity=2))
+    db = data.draw(small_databases(q, max_m=40, domain=8))  # dense: skew
+    p = data.draw(st.sampled_from([2, 4, 8, 16]))
+    nbc = data.draw(st.sampled_from([1.0, 0.5, 0.25]))
+    seed = data.draw(st.integers(0, 3))
+    stats = HeavyHitterStatistics.of(q, db, p)
+    plan = BinHyperCubeAlgorithm(q, stats, nbc=nbc).routing_plan(
+        db, p, HashFamily(seed)
+    )
+    for atom in q.atoms:
+        tuples = sorted(db.relation(atom.name).tuples)
+        scalar = [set(plan.destinations(atom.name, t)) for t in tuples]
+        batch = plan.destinations_batch(atom.name, tuples)
+        assert [set(dests) for dests in batch] == scalar
+        assert all(len(dests) == len(set(dests)) for dests in batch)
+        expected = Counter(server for dests in scalar for server in dests)
+        assert dict(plan.destination_counts(atom.name, tuples)) == dict(expected)
+
+
+@settings(
     max_examples=15,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
@@ -269,21 +299,62 @@ def test_friedgut_inequality_random(data):
 # ---------------------------------------------------------------------------
 # simplex vs scipy
 # ---------------------------------------------------------------------------
+@st.composite
+def small_lps(draw):
+    """``(c, A, b)`` of ``max c.x s.t. A x <= b, x >= 0`` with small ints."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 5))
+    c = [draw(st.integers(-5, 5)) for _ in range(n)]
+    a = [[draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(m)]
+    b = [draw(st.integers(-3, 6)) for _ in range(m)]
+    return c, a, b
+
+
+def _scipy_linprog(scipy_optimize, c, a, b):
+    """scipy's verdict on ``max c.x s.t. A x <= b, x >= 0``.
+
+    HiGHS misclassifies some feasible unbounded LPs: its presolve can call
+    them infeasible, and without presolve it can answer "unbounded or
+    infeasible" (status 4).  So each question goes to an LP that HiGHS
+    answers reliably.  Feasibility is checked with a zero objective.
+    Unboundedness is checked as a recession direction ``d >= 0`` with
+    ``A d <= 0`` and ``c.d > 0``, searched inside the unit box, where the
+    LP is bounded and feasible at ``d = 0``.  The returned result carries
+    ``linprog``'s ``status`` codes: 0 optimal, 2 infeasible, 3 unbounded.
+    """
+    n = len(c)
+    orthant = [(0, None)] * n
+
+    def solve(objective, rhs, bounds):
+        return scipy_optimize.linprog(
+            [-x for x in objective], A_ub=a, b_ub=rhs, bounds=bounds,
+            method="highs",
+        )
+
+    feasibility = solve([0] * n, b, orthant)
+    if feasibility.status != 0:
+        return feasibility
+    ray = solve(c, [0] * len(a), [(0, 1)] * n)
+    if ray.status == 0 and -ray.fun > 1e-7:
+        ray.status = 3
+        return ray
+    return solve(c, b, orthant)
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_simplex_matches_scipy(data):
+@given(small_lps())
+# Feasible (x = 0) and unbounded along x1 = x3 + x4; HiGHS's presolve
+# reports it infeasible.
+@example(([1, 0, 0, 0], [[-1, 0, 1, 1], [1, 0, -1, -1]], [0, 1]))
+# Feasible and unbounded; HiGHS without presolve reports "unbounded or
+# infeasible".
+@example(([1, 0, 1, 0], [[0, 0, -1, -1], [2, 0, 1, -1]], [1, 1]))
+def test_simplex_matches_scipy(lp):
     scipy_optimize = pytest.importorskip("scipy.optimize")
-    n = data.draw(st.integers(1, 4))
-    m = data.draw(st.integers(1, 5))
-    c = [data.draw(st.integers(-5, 5)) for _ in range(n)]
-    a = [[data.draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(m)]
-    b = [data.draw(st.integers(-3, 6)) for _ in range(m)]
+    c, a, b = lp
 
     ours = exact_maximize(c, a, b)
-    scipy_result = scipy_optimize.linprog(
-        [-x for x in c], A_ub=a, b_ub=b, bounds=[(0, None)] * n,
-        method="highs",
-    )
+    scipy_result = _scipy_linprog(scipy_optimize, c, a, b)
     if ours.is_optimal:
         assert scipy_result.status == 0
         assert math.isclose(

@@ -80,7 +80,7 @@ def test_sketch_planner_regret(benchmark):
         sketch_fidelity,
     )
     from repro.stats import HeavyHitterStatistics
-    from repro.api.bench import _worst_regret
+    from repro.api.bench import planner_regrets
     from repro.api.experiment import WorkloadSpec
     from repro.query import parse_query
 
@@ -97,12 +97,12 @@ def test_sketch_planner_regret(benchmark):
     result = benchmark.pedantic(
         lambda: sweep.run(obs=obs), rounds=1, iterations=1
     )
-    exact_regret = _worst_regret(
+    exact_regret = max(planner_regrets(
         [r for r in result.records if r.stats == "exact"]
-    )
-    sketch_regret = _worst_regret(
+    ), default=1.0)
+    sketch_regret = max(planner_regrets(
         [r for r in result.records if r.stats == "sketch"]
-    )
+    ), default=1.0)
 
     query = parse_query(QUERY)
     min_recall = 1.0

@@ -12,7 +12,7 @@ Walks the experiment API on the running example
 4. verify completeness and compare measured load against prediction and
    bound.
 
-Run:  python examples/quickstart.py [--engine {reference,batched,mp}]
+Run:  python examples/quickstart.py [--engine {reference,batched}]
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ algorithm it *would* have picked at every skew:
 It also prints formula (10)'s load bound and the residual lower bound of
 Theorem 4.7, showing the measured loads are sandwiched as the paper proves.
 
-Run:  python examples/skewed_join.py [--engine {reference,batched,mp}]
+Run:  python examples/skewed_join.py [--engine {reference,batched}]
 """
 
 from __future__ import annotations

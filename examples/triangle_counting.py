@@ -14,7 +14,7 @@ The script compares on a hub-heavy edge set:
 * the bin-combination algorithm of Section 4.2, which isolates the hubs;
 * Example 3.7's closed-form load table for the triangle query.
 
-Run:  python examples/triangle_counting.py [--engine {reference,batched,mp}]
+Run:  python examples/triangle_counting.py [--engine {reference,batched}]
 """
 
 from __future__ import annotations

@@ -91,7 +91,6 @@ from .mpc import (
     ExecutionResult,
     HashFamily,
     LoadReport,
-    MultiprocessEngine,
     ReferenceEngine,
     available_engines,
     run_one_round,
@@ -168,7 +167,6 @@ __all__ = [
     "ExecutionResult",
     "HashFamily",
     "LoadReport",
-    "MultiprocessEngine",
     "ReferenceEngine",
     "available_engines",
     "run_one_round",

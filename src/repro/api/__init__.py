@@ -12,13 +12,12 @@ algorithms as *experiments* rather than hand-assembled scripts:
 3. :mod:`repro.api.experiment` — :class:`Experiment`/:class:`Sweep`
    execute declarative grids through the pluggable execution engines and
    return schema-checked :class:`RunRecord` rows (JSON/CSV exportable);
-4. :mod:`repro.api.bench` — :func:`run_bench` executes the pinned perf
-   suite behind ``repro bench`` and the committed ``BENCH_core.json``;
-   :func:`run_sketch_bench` is its sketch-statistics twin (exact-vs-sketch
-   planner regret and fidelity, ``BENCH_sketch.json``);
-   :func:`run_rounds_bench` prices the multi-round subsystem
-   (``BENCH_rounds.json``); :func:`run_suite` dispatches by suite name;
-   :func:`compare_bench` is the CI regression gate and
+4. :mod:`repro.api.bench` — :data:`BENCH_SUITES` holds one
+   :class:`BenchSuite` descriptor per pinned perf suite behind
+   ``repro bench`` and the committed ``BENCH_<suite>.json`` documents
+   (``core``; ``sketch``, exact-vs-sketch planner regret and fidelity;
+   ``rounds``, the multi-round subsystem); :func:`run_suite` runs one by
+   name; :func:`compare_bench` is the CI regression gate and
    :func:`suite_gate_failures` the per-suite absolute one.
 
 The multi-round subsystem itself (two-round triangle, the generic
@@ -40,20 +39,15 @@ Typical use::
 """
 
 from .bench import (
-    BENCH_GATES,
     BENCH_SCHEMA,
     BENCH_SUITES,
     BenchError,
-    bench_sweep,
+    BenchSuite,
     calibrate,
     compare_bench,
-    rounds_bench_sweep,
+    planner_regrets,
     rounds_gate_failures,
-    run_bench,
-    run_rounds_bench,
-    run_sketch_bench,
     run_suite,
-    sketch_bench_sweep,
     sketch_gate_failures,
     suite_gate_failures,
     validate_bench,
@@ -101,20 +95,15 @@ from .registry import (
 )
 
 __all__ = [
-    "BENCH_GATES",
     "BENCH_SCHEMA",
     "BENCH_SUITES",
     "BenchError",
-    "bench_sweep",
+    "BenchSuite",
     "calibrate",
     "compare_bench",
-    "rounds_bench_sweep",
+    "planner_regrets",
     "rounds_gate_failures",
-    "run_bench",
-    "run_rounds_bench",
-    "run_sketch_bench",
     "run_suite",
-    "sketch_bench_sweep",
     "sketch_gate_failures",
     "suite_gate_failures",
     "validate_bench",

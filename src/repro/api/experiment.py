@@ -653,8 +653,7 @@ class Sweep:
         (``max_workers`` of ``None``/1), cells at the same grid
         coordinates share one database + statistics + plan regardless of
         their order in the grid.  With more workers, cells are farmed
-        over non-daemonic worker processes (cells running the ``mp``
-        engine can still open that engine's own pool inside a worker).
+        over dedicated worker processes, one cell at a time each.
 
         Fault isolation: a cell whose preparation or round raises yields
         a ``failed:<reason>`` record instead of aborting the sweep, and

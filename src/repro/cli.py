@@ -698,8 +698,8 @@ def build_parser() -> argparse.ArgumentParser:
                       default="batched",
                       help="execution engine simulating the round: batched "
                            "(vectorized, default), reference (tuple-at-a-time "
-                           "parity oracle), mp (multiprocessing shards); all "
-                           "return identical answers and loads")
+                           "parity oracle); both return identical answers "
+                           "and loads")
     _add_observability_arguments(race)
     _add_logging_arguments(race)
     race.set_defaults(func=cmd_race)
@@ -778,7 +778,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--suite", choices=list(BENCH_SUITES), default="core",
                        help="core: the perf trajectory grid; sketch: the "
                             "same grid under exact and sketched statistics "
-                            "plus fidelity/regret gates (default %(default)s)")
+                            "plus fidelity/regret gates; rounds: the "
+                            "triangle under a two-round budget "
+                            "(default %(default)s)")
     bench.add_argument("--quick", action="store_true",
                        help="run the reduced grid (what CI runs)")
     bench.add_argument("--output", default=None,

@@ -6,7 +6,6 @@ from .engine import (
     BatchedEngine,
     EngineError,
     ExecutionEngine,
-    MultiprocessEngine,
     ReferenceEngine,
     available_engines,
     resolve_engine,
@@ -28,7 +27,6 @@ __all__ = [
     "ExecutionEngine",
     "ReferenceEngine",
     "BatchedEngine",
-    "MultiprocessEngine",
     "available_engines",
     "resolve_engine",
     "ExecutionResult",

@@ -10,18 +10,14 @@ The engine subsystem separates *what* a one-round algorithm does (its
     :class:`BatchedEngine` — routes each relation with one vectorized
     ``destinations_batch`` call, streams load accounting without fragments
     when answers are not requested, and interns tuples when they are.
-``mp``
-    :class:`MultiprocessEngine` — shards routing and local joins across a
-    ``multiprocessing`` pool and merges the per-shard loads.
 
-All engines are answer- and load-identical (``tests/test_engine_parity.py``);
-pick by speed/memory: ``batched`` for big single-process runs, ``mp`` when
-local joins dominate and cores are available.
+Both engines are answer- and load-identical (``tests/test_engine_parity.py``);
+``batched`` is the default everywhere and ``reference`` is the oracle the
+parity suite checks it against.
 """
 
 from .base import EngineError, ExecutionEngine, available_engines, resolve_engine
 from .batched import BatchedEngine
-from .multiprocess import MultiprocessEngine
 from .reference import ReferenceEngine
 
 __all__ = [
@@ -31,5 +27,4 @@ __all__ = [
     "resolve_engine",
     "ReferenceEngine",
     "BatchedEngine",
-    "MultiprocessEngine",
 ]

@@ -118,13 +118,11 @@ class ExecutionEngine(ABC):
 
 def _registry() -> dict[str, type[ExecutionEngine]]:
     from .batched import BatchedEngine
-    from .multiprocess import MultiprocessEngine
     from .reference import ReferenceEngine
 
     return {
         ReferenceEngine.name: ReferenceEngine,
         BatchedEngine.name: BatchedEngine,
-        MultiprocessEngine.name: MultiprocessEngine,
     }
 
 

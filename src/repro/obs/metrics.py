@@ -12,10 +12,9 @@ per-cell wall clock and queue wait.  Three instrument kinds:
   concatenation, so per-worker histograms aggregate exactly.
 
 :meth:`MetricsRegistry.snapshot` / :meth:`MetricsRegistry.merge_snapshot`
-round-trip through plain JSON-ready dicts — that is how
-:class:`~repro.mpc.engine.MultiprocessEngine` ships worker metrics back
-to the parent process, and how sweep workers attach per-cell metrics to
-their :class:`~repro.api.records.RunRecord`.
+round-trip through plain JSON-ready dicts — that is how sweep workers
+attach per-cell metrics to their :class:`~repro.api.records.RunRecord`
+and how the parent process folds them back in.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import multiprocessing
 import queue
 import threading
 import time
@@ -42,7 +43,6 @@ from typing import Callable, Sequence
 from ..api import experiment as _experiment
 from ..api.planner import plan as _plan
 from ..api.records import RunRecord
-from ..mpc.engine.multiprocess import pool_context
 from ..obs import Observation, maybe_timed
 from .cache import CatalogCache, catalog_key
 
@@ -53,6 +53,15 @@ JOB_KINDS = ("plan", "stats", "sweep")
 
 #: Job lifecycle states.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
+
+
+def pool_context():
+    """Fork-first multiprocessing context (fork inherits cells and their
+    prepared state for free); the platform default otherwise.  Shared by
+    the cell farm and the sharded sketch build."""
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
 
 
 class ServiceError(RuntimeError):
@@ -235,8 +244,8 @@ def _execute_farm(
     worker is dispatched exactly one cell at a time over its own pipe, so
     the parent always knows which cell a hung worker holds: on deadline
     it kills that worker, records a ``timeout`` for that cell only, and
-    spawns a replacement.  Worker processes are non-daemonic (cells
-    running the ``mp`` engine open their own pool inside).
+    spawns a replacement.  Worker processes are non-daemonic, so code a
+    cell runs may still open a process pool of its own.
     """
     ctx = pool_context()
     total = len(cells)

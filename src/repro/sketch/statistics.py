@@ -262,7 +262,7 @@ class RelationSketchSet:
 
 
 # ----------------------------------------------------------------------
-# process-parallel shard build (mirrors the mp engine's fork-first pool)
+# process-parallel shard build (the cell farm's fork-first pool context)
 # ----------------------------------------------------------------------
 
 # Installed in workers by the pool initializer; module-level so the
@@ -324,7 +324,7 @@ def build_sketch_set(
     if not tasks:
         return RelationSketchSet.empty(query, domains, config)
 
-    from ..mpc.engine.multiprocess import pool_context
+    from ..service.jobs import pool_context
 
     ctx = pool_context()
     try:

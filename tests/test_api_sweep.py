@@ -35,7 +35,7 @@ class TestRegistryErrorMessages:
             sweep.cells()
         message = str(excinfo.value)
         assert "turbo" in message
-        for name in ("reference", "batched", "mp"):
+        for name in ("reference", "batched"):
             assert name in message
 
     def test_unknown_engine_rejected_by_experiment(self):
@@ -235,23 +235,6 @@ class TestSweep:
             assert record.max_load_bits == other.max_load_bits
             assert record.max_load_tuples == other.max_load_tuples
             assert record.predicted_load_bits == other.predicted_load_bits
-
-    def test_parallel_run_supports_the_mp_engine(self):
-        """Cells running the mp engine must be able to open that engine's
-        own pool inside a farm worker (non-daemonic executor processes)."""
-        sweep = self._sweep(
-            skews=(0.0,), p_values=(4,),
-            algorithms=("hypercube-lp", "hashjoin"), engine="mp",
-        )
-        result = sweep.run(max_workers=2)
-        assert len(result) == 2
-        batched = self._sweep(
-            skews=(0.0,), p_values=(4,),
-            algorithms=("hypercube-lp", "hashjoin"), engine="batched",
-        ).run()
-        # Engine parity: the farmed mp loads equal the batched loads.
-        assert [r.max_load_bits for r in result] == \
-            [r.max_load_bits for r in batched]
 
     def test_progress_callback_sees_every_record(self):
         seen = []

@@ -2,6 +2,7 @@
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,30 +12,30 @@ from repro.api import (
     calibrate,
     compare_bench,
     rounds_gate_failures,
-    run_bench,
-    run_rounds_bench,
-    run_sketch_bench,
     run_suite,
     sketch_gate_failures,
     suite_gate_failures,
     validate_bench,
 )
 from repro.cli import main
+from repro.core import SkewAwareJoin
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
 def document():
-    return run_bench(quick=True)
+    return run_suite("core", quick=True)
 
 
 @pytest.fixture(scope="module")
 def sketch_document():
-    return run_sketch_bench(quick=True, repeats=1)
+    return run_suite("sketch", quick=True, repeats=1)
 
 
 @pytest.fixture(scope="module")
 def rounds_document():
-    return run_rounds_bench(quick=True, repeats=1)
+    return run_suite("rounds", quick=True, repeats=1)
 
 
 class TestRunBench:
@@ -58,7 +59,7 @@ class TestRunBench:
 
     def test_quick_grid_is_deterministic_where_it_should_be(self, document):
         # Loads and gaps are seeded -> a rerun reproduces them exactly.
-        rerun = run_bench(quick=True)
+        rerun = run_suite("core", quick=True)
         first = {entry["id"]: entry for entry in document["entries"]}
         for entry in rerun["entries"]:
             assert entry["max_load_bits"] == first[entry["id"]]["max_load_bits"]
@@ -150,6 +151,20 @@ class TestCompareBench:
         other = copy.deepcopy(document)
         other["suite"] = "micro"
         with pytest.raises(BenchError, match="suite"):
+            compare_bench(document, other)
+
+    @pytest.mark.parametrize("field, value", [
+        ("query", "q(x, y) :- S1(x, y)"),
+        ("grid", {"workload": "zipf", "p_values": [8, 32]}),
+        ("quick", False),
+    ])
+    def test_query_or_grid_mismatch_is_an_error(self, document, field,
+                                                 value):
+        # A full-grid run against the committed quick baseline would
+        # compare the wall clock of a larger grid.
+        other = copy.deepcopy(document)
+        other[field] = value
+        with pytest.raises(BenchError, match=field):
             compare_bench(document, other)
 
 
@@ -262,6 +277,39 @@ class TestRoundsBench:
 class TestSuiteDispatch:
     def test_registry_names_the_three_suites(self):
         assert list(BENCH_SUITES) == ["core", "sketch", "rounds"]
+
+    @pytest.mark.parametrize("name", ["core", "sketch", "rounds"])
+    def test_document_shape_matches_the_committed_baseline(
+        self, name, document, sketch_document, rounds_document
+    ):
+        current = {"core": document, "sketch": sketch_document,
+                   "rounds": rounds_document}[name]
+        committed = json.loads(
+            (REPO_ROOT / f"BENCH_{name}.json").read_text()
+        )
+        assert current.keys() == committed.keys()
+        assert current["summary"].keys() == committed["summary"].keys()
+        entry_keys = {tuple(entry) for entry in committed["entries"]}
+        assert {tuple(entry) for entry in current["entries"]} == entry_keys
+        if name == "sketch":
+            point_keys = {tuple(point) for point in committed["fidelity"]}
+            assert {tuple(point) for point in current["fidelity"]} == \
+                point_keys
+
+    def test_a_failing_cell_fails_the_suite(self, monkeypatch):
+        # A failed cell carries zero loads and a null gap, which every
+        # relative and absolute gate would skip; the run must refuse.
+        def broken(self, *args, **kwargs):
+            raise RuntimeError("routing exploded")
+
+        monkeypatch.setattr(SkewAwareJoin, "routing_plan", broken)
+        with pytest.raises(BenchError) as excinfo:
+            run_suite("core", quick=True, repeats=1)
+        message = str(excinfo.value)
+        assert "zipf-m160-s0-p8-skew-join (failed:" in message
+        assert "zipf-m160-s1.2-p8-skew-join (failed:" in message
+        with pytest.raises(SystemExit, match="skew-join"):
+            main(["bench", "--quick", "--output", "-", "-q"])
 
     def test_unknown_suite_lists_choices(self):
         with pytest.raises(BenchError) as excinfo:

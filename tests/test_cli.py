@@ -112,9 +112,9 @@ class TestEngineFlag:
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
         assert "--engine" in out
-        assert "reference" in out and "batched" in out and "mp" in out
+        assert "reference" in out and "batched" in out
 
-    @pytest.mark.parametrize("engine", ["reference", "batched", "mp"])
+    @pytest.mark.parametrize("engine", ["reference", "batched"])
     def test_race_with_each_engine(self, capsys, engine):
         assert main([
             "race", "q(x,y,z) :- S1(x,z), S2(y,z)",

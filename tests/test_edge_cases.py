@@ -151,7 +151,7 @@ class TestPrimeServerCounts:
             assert result.is_complete, (algorithm.name, p)
 
 
-ENGINES = ["reference", "batched", "mp"]
+ENGINES = ["reference", "batched"]
 
 
 class TestEnginesOnDegenerateInputs:

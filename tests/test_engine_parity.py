@@ -32,7 +32,6 @@ from repro.data import (
 from repro.mpc import (
     BatchedEngine,
     HashFamily,
-    MultiprocessEngine,
     ReferenceEngine,
     run_one_round,
 )
@@ -46,7 +45,6 @@ SEEDS = (0, 1)
 
 ENGINES = {
     "batched": BatchedEngine(),
-    "mp": MultiprocessEngine(workers=2),
 }
 
 
@@ -241,7 +239,7 @@ def test_seed_sensitivity_is_engine_independent():
 def test_verify_flag_round_trips_through_engines():
     db = _join_db("uniform", seed=0)
     algorithm = SkewAwareJoin(simple_join_query())
-    for engine in ("reference", "batched", "mp"):
+    for engine in ("reference", "batched"):
         result = run_one_round(algorithm, db, P, verify=True, engine=engine)
         assert result.is_complete, engine
 

@@ -215,7 +215,7 @@ class TestEngineDispatch:
     def test_available_engines(self):
         from repro.mpc import available_engines
 
-        assert available_engines() == ("reference", "batched", "mp")
+        assert available_engines() == ("reference", "batched")
 
     def test_unknown_engine_rejected(self):
         from repro.mpc import EngineError
@@ -229,9 +229,9 @@ class TestEngineDispatch:
 
         instance = BatchedEngine()
         assert resolve_engine(instance) is instance
-        assert resolve_engine("mp").name == "mp"
+        assert resolve_engine("reference").name == "reference"
 
-    @pytest.mark.parametrize("engine", ["reference", "batched", "mp"])
+    @pytest.mark.parametrize("engine", ["reference", "batched"])
     def test_custom_plan_runs_on_every_engine(self, engine):
         """Plans without a fast batch path use the scalar fallback."""
         q, db = self._setup()

@@ -36,13 +36,13 @@ def _observed_run(engine: str) -> Observation:
 
 
 class TestEngineMetricsParity:
-    """All three engines must report bit-identical routing metrics."""
+    """Both engines must report bit-identical routing metrics."""
 
     @pytest.fixture(scope="class")
     def observations(self):
         return {
             engine: _observed_run(engine)
-            for engine in ("reference", "batched", "mp")
+            for engine in ("reference", "batched")
         }
 
     @pytest.mark.parametrize("key", PARITY_KEYS)
@@ -51,7 +51,7 @@ class TestEngineMetricsParity:
             engine: obs.metrics.counter(key).value
             for engine, obs in observations.items()
         }
-        assert values["reference"] == values["batched"] == values["mp"], values
+        assert values["reference"] == values["batched"], values
         assert values["reference"] > 0
 
     @pytest.mark.parametrize(
@@ -63,26 +63,20 @@ class TestEngineMetricsParity:
             engine: obs.metrics.gauge(key).value
             for engine, obs in observations.items()
         }
-        assert values["reference"] == values["batched"] == values["mp"], values
+        assert values["reference"] == values["batched"], values
 
     def test_server_load_histograms_match(self, observations):
         loads = {
             engine: sorted(obs.metrics.histogram("engine.server_load_bits").values)
             for engine, obs in observations.items()
         }
-        assert loads["reference"] == loads["batched"] == loads["mp"]
+        assert loads["reference"] == loads["batched"]
         assert len(loads["reference"]) == 4  # one observation per server
 
     def test_phase_spans_are_present(self, observations):
         for obs in observations.values():
             names = {span.name for span in obs.tracer.spans}
             assert {"engine.run", "engine.route", "engine.local_join"} <= names
-
-    def test_mp_worker_metrics_are_aggregated(self, observations):
-        metrics = observations["mp"].metrics
-        assert metrics.counter("mp.route_chunks").value > 0
-        assert metrics.counter("mp.join_chunks").value > 0
-        assert metrics.histogram("mp.worker_route.seconds").count > 0
 
 
 class TestDisabledObservability:

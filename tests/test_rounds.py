@@ -3,7 +3,7 @@
 The golden numbers below pin the skewed-triangle instance the acceptance
 criteria name: the two-round triangle must beat every one-round
 algorithm's predicted *and* measured max-load on it, run bit-identically
-on all three engines, and be the round-aware planner's pick at
+on both engines, and be the round-aware planner's pick at
 ``max_rounds=2`` — while a cross-skewed instance (every pairwise join
 huge) must still fall to a one-round plan.
 """
@@ -128,7 +128,7 @@ class TestProtocol:
 
 class TestExecution:
     def test_engine_parity_with_golden_loads(self):
-        """All three engines replay the same round sequence bit for bit."""
+        """Both engines replay the same round sequence bit for bit."""
         db = skewed_triangle_db()
         algo = TwoRoundTriangle(
             triangle_query(),

@@ -12,9 +12,12 @@ change the observable results:
   (C-speed) and folds bits as ``count * tuple_bits`` per relation, so load
   experiments scale to inputs far beyond what the reference engine holds in
   memory;
-* with ``compute_answers=True`` tuples are interned across relations (equal
-  tuples share one object) before landing in fragments, cutting the memory
-  of highly replicated rounds.
+* with ``compute_answers=True`` each relation becomes one int64 value
+  block; the destinations become flat ``(server, row)`` pairs, counted per
+  server with ``np.bincount``, and each server receives the
+  ``values[rows]`` block of its rows.  The servers' columnar local joins
+  (:func:`repro.seq.join.join_block`) are gathered into one answer set of
+  plain-int tuples.
 
 Per-server bit loads are folded in atom order exactly like the reference
 cluster, so the two engines agree bit for bit.
@@ -22,11 +25,14 @@ cluster, so the two engines agree bit for bit.
 
 from __future__ import annotations
 
-from collections import Counter
+from itertools import chain
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from ...obs import maybe_timed
-from ...seq.join import evaluate, local_join
+from ...seq.columnar import answer_set, as_block
+from ...seq.join import evaluate, join_block
 from ...seq.relation import Database, Tuple
 from ..cluster import LoadReport
 from ..execution import ExecutionResult, OneRoundAlgorithm
@@ -62,10 +68,9 @@ class BatchedEngine(ExecutionEngine):
 
         per_server_tuples = [0] * p
         per_server_bits = [0.0] * p
-        fragments: list[dict[str, set[Tuple]]] | None = (
+        fragments: list[dict[str, np.ndarray]] | None = (
             [{} for _ in range(p)] if compute_answers else None
         )
-        interned: dict[Tuple, Tuple] = {}
 
         input_tuples = 0
         input_bits = 0.0
@@ -79,25 +84,17 @@ class BatchedEngine(ExecutionEngine):
             with maybe_timed(obs, "engine.route", relation=atom.name):
                 if fragments is None:
                     counts = plan.destination_counts(atom.name, tuples)
-                    routed = 0
-                    for server, count in counts.items():
-                        per_server_tuples[server] += count
-                        per_server_bits[server] += count * tuple_bits
-                        routed += count
                 else:
-                    name = atom.name
-                    destinations = plan.destinations_batch(atom.name, tuples)
-                    rel_counts: Counter[int] = Counter()
-                    for tup, dests in zip(tuples, destinations):
-                        tup = interned.setdefault(tup, tup)
-                        for server in dests:
-                            fragments[server].setdefault(name, set()).add(tup)
-                        rel_counts.update(dests)
-                    routed = 0
-                    for server, count in rel_counts.items():
-                        per_server_tuples[server] += count
-                        per_server_bits[server] += count * tuple_bits
-                        routed += count
+                    counts = _deliver(
+                        fragments, atom.name,
+                        as_block(atom.name, tuples, atom.arity,
+                                 relation.domain_size),
+                        plan.destinations_batch(atom.name, tuples))
+                routed = 0
+                for server, count in counts.items():
+                    per_server_tuples[server] += count
+                    per_server_bits[server] += count * tuple_bits
+                    routed += count
             if obs is not None:
                 obs.count(f"engine.routed_tuples.{atom.name}", routed)
                 obs.count(f"engine.shipped_bits.{atom.name}",
@@ -105,14 +102,16 @@ class BatchedEngine(ExecutionEngine):
 
         answers: frozenset[Tuple] | None = None
         if fragments is not None:
-            collected: set[Tuple] = set()
             with maybe_timed(obs, "engine.local_join"):
-                for server_fragments in fragments:
-                    if server_fragments:
-                        collected |= local_join(
-                            query, server_fragments, db.domain_size
-                        )
-            answers = frozenset(collected)
+                blocks = [
+                    join_block(query, server_fragments, db.domain_size)
+                    for server_fragments in fragments if server_fragments
+                ]
+                answers = answer_set(
+                    np.concatenate(blocks or [
+                        np.empty((0, len(query.head)), dtype=np.int64)]),
+                    db.domain_size,
+                )
 
         expected = None
         if verify:
@@ -134,3 +133,33 @@ class BatchedEngine(ExecutionEngine):
             expected_answers=expected,
             details=dict(plan.describe()),
         )
+
+
+def _deliver(
+    fragments: list[dict[str, np.ndarray]],
+    name: str,
+    values: np.ndarray,
+    destinations: list[tuple[int, ...]],
+) -> dict[int, int]:
+    """Hand each server the rows of ``values`` routed to it.
+
+    ``destinations[i]`` are the duplicate-free servers of row ``i``, so a
+    server's count is the number of distinct rows it receives.  Returns
+    server -> count.
+    """
+    fanout = np.fromiter(map(len, destinations), dtype=np.int64,
+                         count=len(destinations))
+    servers = np.fromiter(chain.from_iterable(destinations), dtype=np.int64,
+                          count=int(fanout.sum()))
+    rows = np.repeat(np.arange(len(values)), fanout)
+    by_server = np.argsort(servers, kind="stable")
+    rows = rows[by_server]
+    counts = np.bincount(servers, minlength=len(fragments))
+    ends = np.cumsum(counts)
+    received: dict[int, int] = {}
+    for server in np.flatnonzero(counts).tolist():
+        count = int(counts[server])
+        fragments[server][name] = values[rows[ends[server] - count:
+                                              ends[server]]]
+        received[server] = count
+    return received

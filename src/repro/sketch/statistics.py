@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 import numpy as np
 
 from ..query.atoms import ConjunctiveQuery
+from ..seq.columnar import mixed_radix_codes
 from ..seq.relation import Database, Tuple
 from ..stats.cardinality import SimpleStatistics, StatisticsError
 from ..stats.heavy_hitters import (
@@ -140,13 +141,7 @@ class RelationSketchSpec:
 
     def encode_batch(self, tuples: np.ndarray) -> np.ndarray:
         """Mixed-radix items for a 2-D ``(n_tuples, arity)`` value array."""
-        items = np.zeros(tuples.shape[0], dtype=np.uint64)
-        radix = np.uint64(1)
-        n = np.uint64(self.domain_size)
-        for pos in self.positions:
-            items += tuples[:, pos].astype(np.uint64) * radix
-            radix *= n
-        return items
+        return mixed_radix_codes(tuples, self.positions, self.domain_size)
 
     def decode(self, item: int) -> Assignment:
         """The assignment a sketch item stands for (inverse of encode)."""

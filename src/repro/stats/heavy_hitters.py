@@ -9,15 +9,21 @@ per (relation, subset) pair, so the statistics stay ``O(p)``-sized.
 
 The one-round algorithms assume every input server knows these statistics;
 :meth:`HeavyHitterStatistics.of` extracts them exactly from a database, which
-models the sampling/statistics pass of practical systems.
+models the sampling/statistics pass of practical systems.  It counts each
+subset with one sort of the subset's mixed-radix key codes
+(:mod:`repro.seq.columnar`), the counting ``np.unique`` does, and turns
+only the heavy keys into Python tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from ..query.atoms import ConjunctiveQuery
+from ..seq.columnar import as_block, key_codes
 from ..seq.relation import Database
 from .cardinality import SimpleStatistics, StatisticsError
 
@@ -154,16 +160,13 @@ class HeavyHitterStatistics(HeavyHitterLookup):
         for atom in query.atoms:
             relation = db.relation(atom.name)
             threshold = threshold_factor * relation.cardinality / p
+            block = as_block(relation.name, relation.tuples, relation.arity,
+                             relation.domain_size)
             atom_vars = canonical_subset(atom.variables)
             for subset in _nonempty_subsets(atom_vars):
                 positions = [atom.positions_of(var)[0] for var in subset]
-                frequencies = relation.frequencies(positions)
-                heavy = {
-                    assignment: count
-                    for assignment, count in frequencies.items()
-                    if count > threshold
-                }
-                hitters[(atom.name, subset)] = heavy
+                hitters[(atom.name, subset)] = _heavy_counts(
+                    block, positions, relation.domain_size, threshold)
         return cls(
             simple=simple, p=p, threshold_factor=threshold_factor, hitters=hitters
         )
@@ -225,3 +228,28 @@ class HeavyHitterStatistics(HeavyHitterLookup):
         return cls(
             simple=simple, p=p, threshold_factor=threshold_factor, hitters=hitters
         )
+
+
+def _heavy_counts(
+    block: np.ndarray, positions: Sequence[int], domain_size: int,
+    threshold: float,
+) -> dict[Assignment, int]:
+    """``{assignment: count}`` of the values at ``positions`` counted more
+    than ``threshold`` times, in first-occurrence order like a
+    :class:`collections.Counter` of the rows (what
+    :meth:`Relation.frequencies` returns)."""
+    if not len(block):
+        return {}
+    (codes,) = key_codes([(block, positions)], domain_size)
+    order = np.argsort(codes)
+    ordered = codes[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(starts, append=len(ordered))
+    heavy = np.flatnonzero(counts > threshold)
+    if not len(heavy):
+        return {}
+    # The first row holding each heavy key: its order and its decoding.
+    first = np.minimum.reduceat(order, starts)[heavy]
+    by_first = np.argsort(first)
+    assignments = block[first[by_first]][:, positions].tolist()
+    return dict(zip(map(tuple, assignments), counts[heavy][by_first].tolist()))

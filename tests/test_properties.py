@@ -10,15 +10,19 @@ statistics, and databases rather than hand-picked examples:
 * Friedgut's inequality holds for random nonnegative weights;
 * the bin algorithm is complete on random skewed instances, and its batch
   routing paths match its scalar one;
+* the columnar ``local_join`` equals the ``evaluate`` oracle on the same
+  fragments, given as tuple sets or as int64 blocks;
 * simplex agrees with scipy.optimize.linprog on random LPs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -40,8 +44,8 @@ from repro.core import (
 )
 from repro.lp import maximize as exact_maximize
 from repro.mpc import HashFamily, run_one_round
-from repro.query import Atom, ConjunctiveQuery, residual_query
-from repro.seq import Database, Relation
+from repro.query import Atom, ConjunctiveQuery, parse_query, residual_query
+from repro.seq import Database, Relation, evaluate, local_join
 from repro.stats import HeavyHitterStatistics
 
 
@@ -246,6 +250,56 @@ def test_bin_hypercube_batch_paths_match_scalar(data):
         assert all(len(dests) == len(set(dests)) for dests in batch)
         expected = Counter(server for dests in scalar for server in dests)
         assert dict(plan.destination_counts(atom.name, tuples)) == dict(expected)
+
+
+# ---------------------------------------------------------------------------
+# The columnar local join against the tuple-at-a-time oracle
+# ---------------------------------------------------------------------------
+LOCAL_JOIN_SHAPES = (
+    "q(x, y, z) :- S1(x, z), S2(y, z)",                    # two-way join
+    "q(x, y, z) :- R(x, y), S(y, z), T(z, x)",             # triangle
+    "q(a, b, c, d) :- R(a, b), S(b, c), T(c, d), U(d, a)",  # 4-cycle
+    "q(x, y) :- S(x), T(y)",                               # cartesian step
+    "q(x, y) :- S(x, x), T(x, y)",                         # repeated variable
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_local_join_matches_evaluate(data):
+    """Sets or int64 blocks, empty or missing fragments: same answers."""
+    q = parse_query(data.draw(st.sampled_from(LOCAL_JOIN_SHAPES)))
+    n = data.draw(st.integers(1, 4), label="domain")
+    # At most one atom's fragment is missing or empty.
+    hole = data.draw(st.sampled_from(("none",) * 3 + ("missing", "empty")),
+                     label="hole")
+    holed = data.draw(st.sampled_from([atom.name for atom in q.atoms]),
+                      label="holed atom")
+    fragments = {}
+    for atom in q.atoms:
+        if hole == "missing" and atom.name == holed:
+            continue
+        # Dense fragments, at least a third of [0, n)^arity, so that most
+        # instances have answers.
+        grid = list(itertools.product(range(n), repeat=atom.arity))
+        drawn = data.draw(st.sets(st.sampled_from(grid),
+                                  min_size=len(grid) // 3,
+                                  max_size=len(grid)), label=atom.name)
+        empty = hole == "empty" and atom.name == holed
+        fragments[atom.name] = set() if empty else drawn
+    db = Database.from_relations(
+        Relation(atom.name, atom.arity,
+                 frozenset(fragments.get(atom.name, ())), n)
+        for atom in q.atoms
+    )
+    blocks = {
+        name: np.array(sorted(tuples), dtype=np.int64).reshape(
+            len(tuples), q.atom(name).arity)
+        for name, tuples in fragments.items()
+    }
+    expected = evaluate(q, db)
+    assert local_join(q, fragments, n) == expected
+    assert local_join(q, blocks, n) == expected
 
 
 @settings(

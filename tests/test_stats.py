@@ -1,6 +1,8 @@
 """Unit tests for statistics: cardinalities, heavy hitters, bins, degrees."""
 
+import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from repro.stats import (
     bin_exponent,
     bin_index,
     canonical_subset,
+    nonempty_subsets,
     combination_for_assignment,
     light_bin_index,
     num_heavy_bins,
@@ -151,6 +154,90 @@ class TestHeavyHitterStatistics:
         stats = HeavyHitterStatistics.of(q, db, p=p)
         for (_name, _subset), hitters in stats.hitters.items():
             assert len(hitters) < p
+
+
+def frequency_definition(query, db, p, threshold_factor=1.0):
+    """Section 4.2's heavy hitters straight from ``Relation.frequencies``."""
+    hitters = {}
+    for atom in query.atoms:
+        relation = db.relation(atom.name)
+        threshold = threshold_factor * relation.cardinality / p
+        for subset in nonempty_subsets(canonical_subset(atom.variables)):
+            positions = [atom.positions_of(var)[0] for var in subset]
+            hitters[(atom.name, subset)] = {
+                key: count
+                for key, count in relation.frequencies(positions).items()
+                if count > threshold
+            }
+    return hitters
+
+
+class TestHeavyHitterKernel:
+    """The ``np.unique`` counting kernel against the ``Counter`` definition."""
+
+    @pytest.mark.parametrize("query", [
+        "q(x, y, z) :- S1(x, z), S2(y, z)",
+        "q(x, y, z) :- R(x, y), S(y, z), T(z, x)",
+        "q(x, y) :- S(x, x, y), T(y, x)",      # repeated variable
+    ])
+    @pytest.mark.parametrize("threshold_factor", [1.0, 0.5, 2.5])
+    def test_matches_the_frequency_definition(self, query, threshold_factor):
+        q = parse_query(query)
+        rng = random.Random(f"{query}:{threshold_factor}")
+        for trial in range(15):
+            n = rng.choice([2, 3, 7, 40, 2**40])
+            hot = [rng.randrange(n) for _ in range(3)]
+            relations = [
+                Relation(atom.name, atom.arity, frozenset(
+                    tuple(rng.choice(hot) if rng.random() < 0.6
+                          else rng.randrange(n) for _ in range(atom.arity))
+                    for _ in range(rng.randrange(60))
+                ), n)
+                for atom in q.atoms
+            ]
+            db = Database.from_relations(relations)
+            p = rng.choice([1, 2, 3, 8])
+            stats = HeavyHitterStatistics.of(q, db, p, threshold_factor)
+            expected = frequency_definition(q, db, p, threshold_factor)
+            assert stats.hitters == expected
+            # Same insertion order as the Counter, so consumers that
+            # iterate the hitters see them in the same order.
+            for key, hitters in expected.items():
+                assert list(stats.hitters[key].items()) == list(hitters.items())
+
+    def test_count_equal_to_the_threshold_is_light(self):
+        q = parse_query("q(x, y) :- S(x, y), T(y)")
+        ties = [(x, y) for x in (1, 2) for y in range(4)]
+        db = Database.from_relations([
+            Relation.build("S", ties, domain_size=9),
+            Relation.build("T", [(0,)], domain_size=9),
+        ])
+        stats = HeavyHitterStatistics.of(q, db, p=2)
+        # m = 8, p = 2: both x values occur exactly 8 / 2 = 4 times.
+        assert stats.threshold("S") == 4.0
+        assert stats.heavy_hitters("S", ("x",)) == {}
+        db = Database.from_relations([
+            Relation.build("S", ties + [(2, 4)], domain_size=9),
+            Relation.build("T", [(0,)], domain_size=9),
+        ])
+        stats = HeavyHitterStatistics.of(q, db, p=2)   # threshold 4.5
+        assert stats.heavy_hitters("S", ("x",)) == {(2,): 5}
+        assert stats.heavy_hitters("T", ("y",)) == {(0,): 1}
+
+    def test_keys_and_frequencies_are_plain_ints(self):
+        q = simple_join_query()
+        db = Database.from_relations([
+            zipf_relation("S1", 400, 500, skew=1.5, seed=10),
+            zipf_relation("S2", 400, 500, skew=1.5, seed=11),
+        ])
+        stats = HeavyHitterStatistics.of(q, db, p=8)
+        assert stats.total_heavy_count()
+        for hitters in stats.hitters.values():
+            for key, count in hitters.items():
+                assert {type(v) for v in key} <= {int}
+                assert type(count) is int
+        json.dumps([[list(k), c] for h in stats.hitters.values()
+                    for k, c in h.items()])
 
 
 class TestBins:
